@@ -1,7 +1,7 @@
-"""Async-aware additions to the per-function summary.
+"""Async-aware records of the per-function summary.
 
-:func:`collect_async_info` walks one function body and records, in a
-JSON-serializable form, everything the concurrency rules need:
+The one summary walk (:mod:`repro.analysis.graph.summarize`) records,
+per function, everything the concurrency rules need:
 
 * **await sites** — what a coroutine suspends on, whether the wait is
   bounded (a ``timeout=``/``wall_guard_s=`` keyword or the positional
@@ -20,87 +20,39 @@ JSON-serializable form, everything the concurrency rules need:
   lock region may do;
 * **state writes** — assignments to ``self.<attr>`` and declared
   module globals, the raw material of the R016 race check.
-
-The collector deliberately takes the target classifier as a callback
-(rather than importing :mod:`..graph.summarize`) so the import edge
-between the graph and async layers points one way only.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
-from typing import Callable
+
+from ..records import CallTarget, Record
 
 __all__ = [
     "AsyncInfo",
     "AwaitSite",
     "BlockingSite",
+    "EMPTY_ASYNC_INFO",
     "LockSite",
     "RunSite",
     "SpawnSite",
     "StateWrite",
-    "collect_async_info",
 ]
-
-#: Keyword names that bound a wait or a run.
-_TIMEOUT_KEYWORDS = frozenset({"timeout", "wall_guard_s"})
-
-#: Positional-argument count at which a known primitive's wait becomes
-#: bounded (``park(waiter, timeout)``, ``get(timeout)``,
-#: ``run(main, wall_guard_s)``).
-_TIMEOUT_ARITY = {"park": 2, "get": 1, "run": 2}
-
-#: Dotted externals that block the hosting thread.
-_BLOCKING_PREFIXES = ("subprocess.", "os.system", "shutil.")
-
-
-def _ct_from_dict(data: dict):
-    from ..graph.summarize import CallTarget
-
-    return CallTarget.from_dict(data)
-
-
-def _opt_ct(value) -> dict | None:
-    return value.to_dict() if value is not None else None
-
-
-def _opt_ct_from(data) -> object | None:
-    return _ct_from_dict(data) if data else None
 
 
 @dataclasses.dataclass(frozen=True)
-class AwaitSite:
+class AwaitSite(Record):
     """One ``await <call>(...)`` inside a coroutine."""
 
-    target: object | None  # CallTarget when statically classifiable
+    target: CallTarget | None  # when statically classifiable
     line: int
     method: str  # last attribute segment ("park", "get", "join", ...)
     receiver: str  # lowercased receiver text, "" for bare names
     has_timeout: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "target": _opt_ct(self.target),
-            "line": self.line,
-            "method": self.method,
-            "receiver": self.receiver,
-            "has_timeout": self.has_timeout,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "AwaitSite":
-        return AwaitSite(
-            target=_opt_ct_from(data.get("target")),
-            line=data["line"],
-            method=data["method"],
-            receiver=data["receiver"],
-            has_timeout=data["has_timeout"],
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class LockSite:
+class LockSite(Record):
     """One ``with``/``async with`` item whose context expression shapes
     like a lock.  ``shape`` is how the expression was spelled:
     ``self_attr``/``self_item`` (``self._lock`` / ``self._locks[i]``),
@@ -111,87 +63,37 @@ class LockSite:
     name: str  # attribute / variable / getter text
     line: int
     end_line: int
-    ctor: object | None = None  # CallTarget the variable was assigned from
-    getter: object | None = None  # CallTarget of the lock-returning call
-
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "name": self.name,
-            "line": self.line,
-            "end_line": self.end_line,
-            "ctor": _opt_ct(self.ctor),
-            "getter": _opt_ct(self.getter),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "LockSite":
-        return LockSite(
-            shape=data["shape"],
-            name=data["name"],
-            line=data["line"],
-            end_line=data["end_line"],
-            ctor=_opt_ct_from(data.get("ctor")),
-            getter=_opt_ct_from(data.get("getter")),
-        )
+    ctor: CallTarget | None = None  # what the variable was assigned from
+    getter: CallTarget | None = None  # the lock-returning call
 
 
 @dataclasses.dataclass(frozen=True)
-class SpawnSite:
+class SpawnSite(Record):
     """``<sched>.spawn(task(...))`` — a task root when resolvable."""
 
-    target: object | None
+    target: CallTarget | None
     line: int
-
-    def to_dict(self) -> dict:
-        return {"target": _opt_ct(self.target), "line": self.line}
-
-    @staticmethod
-    def from_dict(data: dict) -> "SpawnSite":
-        return SpawnSite(target=_opt_ct_from(data.get("target")), line=data["line"])
 
 
 @dataclasses.dataclass(frozen=True)
-class RunSite:
+class RunSite(Record):
     """``<sched>.run(main(...))`` — the root task plus guard status."""
 
-    target: object | None
+    target: CallTarget | None
     line: int
     has_guard: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "target": _opt_ct(self.target),
-            "line": self.line,
-            "has_guard": self.has_guard,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunSite":
-        return RunSite(
-            target=_opt_ct_from(data.get("target")),
-            line=data["line"],
-            has_guard=data["has_guard"],
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class BlockingSite:
+class BlockingSite(Record):
     """A call that blocks the hosting thread (sleep, file I/O, ...)."""
 
     detail: str
     line: int
 
-    def to_dict(self) -> dict:
-        return {"detail": self.detail, "line": self.line}
-
-    @staticmethod
-    def from_dict(data: dict) -> "BlockingSite":
-        return BlockingSite(detail=data["detail"], line=data["line"])
-
 
 @dataclasses.dataclass(frozen=True)
-class StateWrite:
+class StateWrite(Record):
     """An assignment to shared state: ``Class.attr`` for ``self.<attr>``
     targets, a bare name for declared module globals."""
 
@@ -199,18 +101,9 @@ class StateWrite:
     line: int
     is_global: bool = False
 
-    def to_dict(self) -> dict:
-        return {"attr": self.attr, "line": self.line, "is_global": self.is_global}
-
-    @staticmethod
-    def from_dict(data: dict) -> "StateWrite":
-        return StateWrite(
-            attr=data["attr"], line=data["line"], is_global=data["is_global"]
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class AsyncInfo:
+class AsyncInfo(Record):
     """Everything the concurrency rules need from one function."""
 
     is_async: bool = False
@@ -223,295 +116,5 @@ class AsyncInfo:
     returns_lock_attr: str | None = None
     returns_lock_item: bool = False
 
-    def is_empty(self) -> bool:
-        return self == _EMPTY
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.is_async:
-            out["is_async"] = True
-        for key, items in (
-            ("awaits", self.awaits),
-            ("locks", self.locks),
-            ("spawns", self.spawns),
-            ("runs", self.runs),
-            ("blocking", self.blocking),
-            ("writes", self.writes),
-        ):
-            if items:
-                out[key] = [item.to_dict() for item in items]
-        if self.returns_lock_attr is not None:
-            out["returns_lock_attr"] = self.returns_lock_attr
-            out["returns_lock_item"] = self.returns_lock_item
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "AsyncInfo":
-        return AsyncInfo(
-            is_async=data.get("is_async", False),
-            awaits=tuple(AwaitSite.from_dict(d) for d in data.get("awaits", ())),
-            locks=tuple(LockSite.from_dict(d) for d in data.get("locks", ())),
-            spawns=tuple(SpawnSite.from_dict(d) for d in data.get("spawns", ())),
-            runs=tuple(RunSite.from_dict(d) for d in data.get("runs", ())),
-            blocking=tuple(BlockingSite.from_dict(d) for d in data.get("blocking", ())),
-            writes=tuple(StateWrite.from_dict(d) for d in data.get("writes", ())),
-            returns_lock_attr=data.get("returns_lock_attr"),
-            returns_lock_item=data.get("returns_lock_item", False),
-        )
-
-
-_EMPTY = AsyncInfo()
-
-EMPTY_ASYNC_INFO = _EMPTY
-
-
-def _receiver_text(func: ast.expr) -> str:
-    if isinstance(func, ast.Attribute):
-        try:
-            return ast.unparse(func.value).lower()
-        except Exception:  # pragma: no cover - unparse is total on valid ASTs
-            return ""
-    return ""
-
-
-def _method_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _looks_like_scheduler(receiver: str) -> bool:
-    return "sched" in receiver
-
-
-def _has_timeout(call: ast.Call, method: str) -> bool:
-    for keyword in call.keywords:
-        if keyword.arg in _TIMEOUT_KEYWORDS:
-            return True
-    arity = _TIMEOUT_ARITY.get(method)
-    return arity is not None and len(call.args) >= arity
-
-
-def _first_call_in(expr: ast.expr) -> ast.Call | None:
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Call):
-            return sub
-    return None
-
-
-def _lock_name_heuristic(name: str) -> bool:
-    lowered = name.lower()
-    return "lock" in lowered and "clock" not in lowered
-
-
-class _AsyncCollector:
-    def __init__(
-        self,
-        classify: Callable[[ast.expr], object | None],
-        resolve_dotted: Callable[[ast.expr], list[str] | None],
-        is_open: Callable[[ast.Call], bool],
-        assigns: dict[str, ast.expr],
-        cls_name: str | None,
-    ) -> None:
-        self.classify = classify
-        self.resolve_dotted = resolve_dotted
-        self.is_open = is_open
-        self.assigns = assigns
-        self.cls_name = cls_name
-        self.awaits: list[AwaitSite] = []
-        self.locks: list[LockSite] = []
-        self.spawns: list[SpawnSite] = []
-        self.runs: list[RunSite] = []
-        self.blocking: list[BlockingSite] = []
-        self.writes: list[StateWrite] = []
-        self.globals_declared: set[str] = set()
-
-    # -- await sites ----------------------------------------------------
-
-    def _visit_await(self, node: ast.Await) -> None:
-        call = node.value
-        if not isinstance(call, ast.Call):
-            return
-        method = _method_name(call.func)
-        self.awaits.append(
-            AwaitSite(
-                target=self.classify(call.func),
-                line=node.lineno,
-                method=method,
-                receiver=_receiver_text(call.func),
-                has_timeout=_has_timeout(call, method),
-            )
-        )
-
-    # -- lock regions ---------------------------------------------------
-
-    def _lock_site(self, expr: ast.expr, line: int, end_line: int) -> LockSite | None:
-        # self._lock / self._locks[i]
-        if isinstance(expr, ast.Subscript):
-            inner = expr.value
-            if (
-                isinstance(inner, ast.Attribute)
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id == "self"
-            ):
-                return LockSite("self_item", inner.attr, line, end_line)
-            if isinstance(inner, ast.Name):
-                return self._name_lock(inner.id, line, end_line)
-            return None
-        if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id == "self":
-                return LockSite("self_attr", expr.attr, line, end_line)
-            return None
-        if isinstance(expr, ast.Name):
-            return self._name_lock(expr.id, line, end_line)
-        if isinstance(expr, ast.Call):
-            getter = self.classify(expr.func)
-            if getter is None:
-                return None
-            return LockSite(
-                "call", _method_name(expr.func), line, end_line, getter=getter
-            )
-        return None
-
-    def _name_lock(self, name: str, line: int, end_line: int) -> LockSite:
-        ctor = None
-        assigned = self.assigns.get(name)
-        if isinstance(assigned, ast.Call):
-            ctor = self.classify(assigned.func)
-        elif assigned is not None:
-            call = _first_call_in(assigned)
-            if call is not None:
-                ctor = self.classify(call.func)
-        return LockSite("name", name, line, end_line, ctor=ctor)
-
-    def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        end_line = node.end_lineno or node.lineno
-        for item in node.items:
-            site = self._lock_site(item.context_expr, node.lineno, end_line)
-            if site is not None:
-                self.locks.append(site)
-
-    # -- calls: spawn/run/blocking --------------------------------------
-
-    def _task_target(self, call: ast.Call) -> object | None:
-        if not call.args or not isinstance(call.args[0], ast.Call):
-            return None
-        return self.classify(call.args[0].func)
-
-    def _visit_call(self, node: ast.Call) -> None:
-        method = _method_name(node.func)
-        receiver = _receiver_text(node.func)
-        if method == "spawn" and _looks_like_scheduler(receiver):
-            self.spawns.append(SpawnSite(self._task_target(node), node.lineno))
-        elif method == "run" and _looks_like_scheduler(receiver):
-            self.runs.append(
-                RunSite(
-                    self._task_target(node), node.lineno, _has_timeout(node, "run")
-                )
-            )
-        self._record_blocking(node)
-
-    def _record_blocking(self, node: ast.Call) -> None:
-        if self.is_open(node):
-            self.blocking.append(BlockingSite("open", node.lineno))
-            return
-        resolved = self.resolve_dotted(node.func)
-        if resolved is not None and tuple(resolved) == ("time", "sleep"):
-            self.blocking.append(BlockingSite("time.sleep", node.lineno))
-            return
-        target = self.classify(node.func)
-        if target is None or getattr(target, "kind", "") != "dotted":
-            return
-        dotted = target.target
-        if dotted.startswith(_BLOCKING_PREFIXES) or dotted == "os.system":
-            self.blocking.append(BlockingSite(dotted, node.lineno))
-
-    # -- shared-state writes --------------------------------------------
-
-    def _write_targets(self, node: ast.AST) -> list[ast.expr]:
-        if isinstance(node, ast.Assign):
-            return list(node.targets)
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return [node.target] if getattr(node, "value", None) is not None else []
-        return []
-
-    def _visit_write(self, node: ast.AST) -> None:
-        for target in self._write_targets(node):
-            expr = target
-            if isinstance(expr, ast.Subscript):
-                expr = expr.value
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-                and self.cls_name is not None
-            ):
-                self.writes.append(
-                    StateWrite(f"{self.cls_name}.{expr.attr}", node.lineno)
-                )
-            elif isinstance(expr, ast.Name) and expr.id in self.globals_declared:
-                self.writes.append(StateWrite(expr.id, node.lineno, is_global=True))
-
-    # -- the walk -------------------------------------------------------
-
-    def run(self, func_node: ast.FunctionDef | ast.AsyncFunctionDef) -> AsyncInfo:
-        for node in ast.walk(func_node):
-            if isinstance(node, ast.Global):
-                self.globals_declared.update(node.names)
-        for node in ast.walk(func_node):
-            if isinstance(node, ast.Await):
-                self._visit_await(node)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                self._visit_with(node)
-            elif isinstance(node, ast.Call):
-                self._visit_call(node)
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                self._visit_write(node)
-        info = AsyncInfo(
-            is_async=isinstance(func_node, ast.AsyncFunctionDef),
-            awaits=tuple(self.awaits),
-            locks=tuple(self.locks),
-            spawns=tuple(self.spawns),
-            runs=tuple(self.runs),
-            blocking=tuple(self.blocking),
-            writes=tuple(self.writes),
-            returns_lock_attr=self._returned_attr(func_node)[0],
-            returns_lock_item=self._returned_attr(func_node)[1],
-        )
-        return _EMPTY if info == _EMPTY else info
-
-    def _returned_attr(
-        self, func_node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> tuple[str | None, bool]:
-        """``return self.<attr>`` / ``return self.<attr>[...]`` — the
-        shape of a lock getter; lockness is decided at graph time."""
-        for node in ast.walk(func_node):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            expr = node.value
-            item = isinstance(expr, ast.Subscript)
-            if item:
-                expr = expr.value
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-            ):
-                return expr.attr, item
-        return None, False
-
-
-def collect_async_info(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef,
-    *,
-    classify: Callable[[ast.expr], object | None],
-    resolve_dotted: Callable[[ast.expr], list[str] | None],
-    is_open: Callable[[ast.Call], bool],
-    assigns: dict[str, ast.expr],
-    cls_name: str | None,
-) -> AsyncInfo:
-    """Collect the concurrency summary of one function body."""
-    collector = _AsyncCollector(classify, resolve_dotted, is_open, assigns, cls_name)
-    return collector.run(func_node)
+EMPTY_ASYNC_INFO = AsyncInfo()

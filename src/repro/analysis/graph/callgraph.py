@@ -26,7 +26,8 @@ import dataclasses
 
 from ..config import DEFAULT_LINT_CONFIG, LintConfig
 from ..effects import clock_effect, rng_effect
-from .summarize import CallTarget, ModuleSummary
+from ..records import CallTarget
+from .summarize import ModuleSummary
 
 __all__ = ["NodeInfo", "Edge", "ProgramGraph", "build_graph"]
 

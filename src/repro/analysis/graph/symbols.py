@@ -17,6 +17,8 @@ import ast
 import dataclasses
 from pathlib import PurePosixPath
 
+from ..records import Record
+
 __all__ = ["Binding", "module_name_for", "collect_bindings"]
 
 #: Directory names stripped from the front of a module path: source
@@ -40,7 +42,7 @@ def module_name_for(relpath: str) -> tuple[str, bool]:
 
 
 @dataclasses.dataclass(frozen=True)
-class Binding:
+class Binding(Record):
     """One top-level name in a module.
 
     ``kind`` is ``func`` / ``class`` / ``import`` / ``var``; ``target``
@@ -50,16 +52,6 @@ class Binding:
     kind: str
     line: int
     target: str | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "line": self.line}
-        if self.target is not None:
-            out["target"] = self.target
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "Binding":
-        return Binding(kind=data["kind"], line=data["line"], target=data.get("target"))
 
 
 def _import_base(module: str, is_package: bool, level: int, from_module: str | None) -> str:

@@ -14,7 +14,7 @@ import ast
 import dataclasses
 
 from ..core.config import DetectorConfig
-from .effects import RNG_ALLOWED_NUMPY, WALL_CLOCK_PATHS
+from .effects import RNG_ALLOWED_NUMPY, WALL_CLOCK_PATHS, engine_map_args
 from .rulebase import Rule, register
 
 __all__ = ["CONFIG_FIELDS"]
@@ -115,38 +115,32 @@ class WallClockRule(Rule):
 @register
 class UnpicklableTaskRule(Rule):
     id = "R003"
-    title = "unpicklable payload handed to ExecutionEngine.map"
-    example = "engine.map(lambda clip: grade(clip), clips)"
-    rationale = """ExecutionEngine.map sends the task function to worker
-    processes by pickling; lambdas, closures and local defs fail there —
-    but only once jobs > 1, so the defect hides in serial test runs.
-    Task functions must be module-level."""
+    title = "unpicklable task function handed to ExecutionEngine.map/map_batches"
+    example = "engine.map_batches(lambda clip: grade(clip), clips)"
+    rationale = """ExecutionEngine.map_batches (and its map alias) sends the
+    task function to worker processes by pickling; lambdas, closures and
+    local defs fail there — but only once jobs > 1, so the defect hides in
+    serial test runs.  Task functions must be module-level."""
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "map":
-            receiver = ast.unparse(func.value).lower()
-            if "engine" in receiver:
-                fn_arg: ast.expr | None = node.args[0] if node.args else None
-                if fn_arg is None:
-                    for keyword in node.keywords:
-                        if keyword.arg == "fn":
-                            fn_arg = keyword.value
-                if isinstance(fn_arg, ast.Lambda):
-                    self.report(
-                        node,
-                        "lambda passed to ExecutionEngine.map cannot be pickled "
-                        "to worker processes; use a module-level function",
-                    )
-                elif isinstance(fn_arg, ast.Name) and (
-                    fn_arg.id in self.ctx.nested_function_names
-                    or fn_arg.id in self.ctx.lambda_names
-                ):
-                    self.report(
-                        node,
-                        f"'{fn_arg.id}' is a nested def/lambda; ExecutionEngine.map "
-                        "payloads must be module-level functions (picklable)",
-                    )
+        map_args = engine_map_args(node)
+        fn_arg = map_args[0] if map_args is not None else None
+        if isinstance(fn_arg, ast.Lambda):
+            self.report(
+                node,
+                f"lambda passed to ExecutionEngine.{node.func.attr} cannot be "
+                "pickled to worker processes; use a module-level function",
+            )
+        elif isinstance(fn_arg, ast.Name) and (
+            fn_arg.id in self.ctx.nested_function_names
+            or fn_arg.id in self.ctx.lambda_names
+        ):
+            self.report(
+                node,
+                f"'{fn_arg.id}' is a nested def/lambda; ExecutionEngine."
+                f"{node.func.attr} task functions must be module-level "
+                "(picklable)",
+            )
         self.generic_visit(node)
 
 

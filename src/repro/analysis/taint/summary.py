@@ -1,7 +1,7 @@
-"""Taint-aware additions to the per-function summary.
+"""Taint-aware records of the per-function summary.
 
-:func:`collect_taint_info` walks one function body and records, in a
-JSON-serializable and *config-independent* form, the raw material the
+The one summary walk (:mod:`repro.analysis.graph.summarize`) records,
+per function and in a *config-independent* form, the raw material the
 secret-flow rules need.  Nothing here decides what is secret — that is
 the :class:`~repro.analysis.taint.model.TaintModel`'s job at graph
 time, against ``[tool.reprolint.taint]`` — so summaries stay stable in
@@ -25,53 +25,31 @@ the content-hash cache across policy changes:
   messages, the R018 material;
 * **compares** — ``==`` / ``!=`` sites with both sides' expressions,
   the R020 material.
-
-The collector takes the target classifier as a callback (rather than
-importing :mod:`..graph.summarize`) so the import edge between the
-graph and taint layers points one way only — the same convention as
-:mod:`repro.analysis.async_.summary`.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
-from typing import Callable
+
+from ..records import CallTarget, Record
 
 __all__ = [
     "Atom",
     "AssignRecord",
     "CallUse",
     "CompareRecord",
+    "DataclassField",
+    "EMPTY_TAINT_INFO",
+    "EMPTY_VALUE",
     "MessageRecord",
     "ReturnRecord",
     "TaintInfo",
     "ValueExpr",
-    "collect_taint_info",
-    "collect_dataclass_fields",
-    "DataclassField",
-    "EMPTY_TAINT_INFO",
 ]
-
-#: Hard cap on recorded items per function; a generated megafunction
-#: cannot blow up the summary cache.
-_MAX_ITEMS = 200
-
-#: Container methods whose argument taints the receiver name
-#: (``out.append(secret)`` makes ``out`` secret).
-_MUTATOR_METHODS = frozenset(
-    {"append", "add", "extend", "insert", "update", "setdefault", "put"}
-)
-
-
-def _ct_from_dict(data: dict):
-    from ..graph.summarize import CallTarget
-
-    return CallTarget.from_dict(data)
 
 
 @dataclasses.dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """One taintable leaf read: a bare name or an attribute access.
 
     ``kind`` is ``name`` or ``attr``; ``ident`` the variable name or
@@ -85,70 +63,9 @@ class Atom:
     line: int
     text: str = ""
 
-    def to_dict(self) -> dict:
-        out: dict = {"k": self.kind, "id": self.ident, "ln": self.line}
-        if self.text:
-            out["tx"] = self.text
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "Atom":
-        return Atom(
-            kind=data["k"],
-            ident=data["id"],
-            line=data["ln"],
-            text=data.get("tx", ""),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class CallUse:
-    """One call inside a value expression, with its own sub-expressions.
-
-    ``target`` is the classified :class:`~repro.analysis.graph.
-    summarize.CallTarget` when statically resolvable (None for builtins
-    and methods on arbitrary objects); ``method`` the final callable
-    segment (``print``, ``hex``, ``info``); ``receiver`` the lowercased
-    receiver text for shape heuristics (``self.instrumentation``,
-    ``logger``).  ``recv`` and ``args`` carry the receiver's and the
-    merged positional/keyword arguments' value expressions — taint
-    passes *through* an unknown call (``str(x)``, ``x.hex()``) but a
-    sanitizer cut applies to everything inside.
-    """
-
-    target: object | None
-    method: str
-    receiver: str
-    line: int
-    recv: "ValueExpr"
-    args: "ValueExpr"
-
-    def to_dict(self) -> dict:
-        out: dict = {"m": self.method, "ln": self.line}
-        if self.target is not None:
-            out["t"] = self.target.to_dict()
-        if self.receiver:
-            out["r"] = self.receiver
-        if not self.recv.is_empty():
-            out["rv"] = self.recv.to_dict()
-        if not self.args.is_empty():
-            out["a"] = self.args.to_dict()
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "CallUse":
-        return CallUse(
-            target=_ct_from_dict(data["t"]) if data.get("t") else None,
-            method=data["m"],
-            receiver=data.get("r", ""),
-            line=data["ln"],
-            recv=ValueExpr.from_dict(data.get("rv", {})),
-            args=ValueExpr.from_dict(data.get("a", {})),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ValueExpr:
+class ValueExpr(Record):
     """A flattened expression: loose atoms plus nested calls."""
 
     atoms: tuple[Atom, ...] = ()
@@ -157,27 +74,34 @@ class ValueExpr:
     def is_empty(self) -> bool:
         return not self.atoms and not self.calls
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.atoms:
-            out["at"] = [a.to_dict() for a in self.atoms]
-        if self.calls:
-            out["ca"] = [c.to_dict() for c in self.calls]
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "ValueExpr":
-        return ValueExpr(
-            atoms=tuple(Atom.from_dict(d) for d in data.get("at", ())),
-            calls=tuple(CallUse.from_dict(d) for d in data.get("ca", ())),
-        )
-
 
 EMPTY_VALUE = ValueExpr()
 
 
 @dataclasses.dataclass(frozen=True)
-class AssignRecord:
+class CallUse(Record):
+    """One call inside a value expression, with its own sub-expressions.
+
+    ``target`` is the classified call target when statically resolvable
+    (None for builtins and methods on arbitrary objects); ``method`` the
+    final callable segment (``print``, ``hex``, ``info``); ``receiver``
+    the lowercased receiver text for shape heuristics
+    (``self.instrumentation``, ``logger``).  ``recv`` and ``args`` carry
+    the receiver's and the merged positional/keyword arguments' value
+    expressions — taint passes *through* an unknown call (``str(x)``,
+    ``x.hex()``) but a sanitizer cut applies to everything inside.
+    """
+
+    target: CallTarget | None
+    method: str
+    receiver: str
+    line: int
+    recv: ValueExpr = EMPTY_VALUE
+    args: ValueExpr = EMPTY_VALUE
+
+
+@dataclasses.dataclass(frozen=True)
+class AssignRecord(Record):
     """``targets = value``: name targets only (attribute targets are
     covered by the name-based source policy, not the local dataflow)."""
 
@@ -185,33 +109,15 @@ class AssignRecord:
     value: ValueExpr
     line: int
 
-    def to_dict(self) -> dict:
-        return {"tg": list(self.targets), "v": self.value.to_dict(), "ln": self.line}
-
-    @staticmethod
-    def from_dict(data: dict) -> "AssignRecord":
-        return AssignRecord(
-            targets=tuple(data["tg"]),
-            value=ValueExpr.from_dict(data["v"]),
-            line=data["ln"],
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class ReturnRecord:
+class ReturnRecord(Record):
     value: ValueExpr
     line: int
 
-    def to_dict(self) -> dict:
-        return {"v": self.value.to_dict(), "ln": self.line}
-
-    @staticmethod
-    def from_dict(data: dict) -> "ReturnRecord":
-        return ReturnRecord(value=ValueExpr.from_dict(data["v"]), line=data["ln"])
-
 
 @dataclasses.dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(Record):
     """R018 material: ``kind`` is ``raise`` (exception-constructor
     arguments) or ``assert`` (the assert message expression)."""
 
@@ -219,18 +125,9 @@ class MessageRecord:
     value: ValueExpr
     line: int
 
-    def to_dict(self) -> dict:
-        return {"k": self.kind, "v": self.value.to_dict(), "ln": self.line}
-
-    @staticmethod
-    def from_dict(data: dict) -> "MessageRecord":
-        return MessageRecord(
-            kind=data["k"], value=ValueExpr.from_dict(data["v"]), line=data["ln"]
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class CompareRecord:
+class CompareRecord(Record):
     """One ``==`` / ``!=`` site; ``text`` is the unparsed comparison
     (used as the finding snippet, stable under line moves)."""
 
@@ -239,24 +136,9 @@ class CompareRecord:
     line: int
     text: str = ""
 
-    def to_dict(self) -> dict:
-        out: dict = {"op": self.op, "v": self.value.to_dict(), "ln": self.line}
-        if self.text:
-            out["tx"] = self.text
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "CompareRecord":
-        return CompareRecord(
-            op=data["op"],
-            value=ValueExpr.from_dict(data["v"]),
-            line=data["ln"],
-            text=data.get("tx", ""),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class TaintInfo:
+class TaintInfo(Record):
     """Everything the secret-flow rules need from one function."""
 
     params: tuple[str, ...] = ()
@@ -266,382 +148,14 @@ class TaintInfo:
     messages: tuple[MessageRecord, ...] = ()
     compares: tuple[CompareRecord, ...] = ()
 
-    def is_empty(self) -> bool:
-        return self == _EMPTY
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.params:
-            out["params"] = list(self.params)
-        for key, items in (
-            ("assigns", self.assigns),
-            ("returns", self.returns),
-            ("calls", self.calls),
-            ("messages", self.messages),
-            ("compares", self.compares),
-        ):
-            if items:
-                out[key] = [item.to_dict() for item in items]
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "TaintInfo":
-        if not data:
-            return _EMPTY
-        return TaintInfo(
-            params=tuple(data.get("params", ())),
-            assigns=tuple(AssignRecord.from_dict(d) for d in data.get("assigns", ())),
-            returns=tuple(ReturnRecord.from_dict(d) for d in data.get("returns", ())),
-            calls=tuple(CallUse.from_dict(d) for d in data.get("calls", ())),
-            messages=tuple(
-                MessageRecord.from_dict(d) for d in data.get("messages", ())
-            ),
-            compares=tuple(
-                CompareRecord.from_dict(d) for d in data.get("compares", ())
-            ),
-        )
-
-
-_EMPTY = TaintInfo()
-
-EMPTY_TAINT_INFO = _EMPTY
+EMPTY_TAINT_INFO = TaintInfo()
 
 
 @dataclasses.dataclass(frozen=True)
-class DataclassField:
+class DataclassField(Record):
     """One annotated field of a ``@dataclass`` body (R021 material)."""
 
     name: str
     line: int
     repr_hidden: bool  # field(..., repr=False)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "line": self.line, "repr_hidden": self.repr_hidden}
-
-    @staticmethod
-    def from_dict(data: dict) -> "DataclassField":
-        return DataclassField(
-            name=data["name"], line=data["line"], repr_hidden=data["repr_hidden"]
-        )
-
-
-# ----------------------------------------------------------------------
-# Collection
-# ----------------------------------------------------------------------
-
-
-def _attr_text(node: ast.Attribute) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on valid ASTs
-        return node.attr
-
-
-def _method_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _receiver_text(func: ast.expr) -> str:
-    if isinstance(func, ast.Attribute):
-        try:
-            return ast.unparse(func.value).lower()
-        except Exception:  # pragma: no cover
-            return ""
-    return ""
-
-
-class _Collector:
-    def __init__(
-        self,
-        classify: Callable[[ast.expr], object | None],
-        cls_name: str | None,
-    ) -> None:
-        self.classify = classify
-        self.cls_name = cls_name
-        self.assigns: list[AssignRecord] = []
-        self.returns: list[ReturnRecord] = []
-        self.calls: list[CallUse] = []
-        self.messages: list[MessageRecord] = []
-        self.compares: list[CompareRecord] = []
-
-    # -- value expressions ----------------------------------------------
-
-    def value_expr(self, *exprs: ast.expr | None) -> ValueExpr:
-        atoms: list[Atom] = []
-        calls: list[CallUse] = []
-        stack: list[ast.AST] = [e for e in exprs if e is not None]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.Call):
-                calls.append(self.call_use(node))
-                continue  # the CallUse owns everything underneath
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                atoms.append(Atom("name", node.id, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                # Field-sensitive: a plain dotted read is typed by its
-                # attribute names alone (sched.times is public even when
-                # sched holds a nonce; cfg.protocol_secret is secret by
-                # name).  The base name is NOT recorded — only a
-                # non-trivial base (call, subscript) keeps being walked.
-                atoms.append(
-                    Atom("attr", node.attr, node.lineno, _attr_text(node))
-                )
-                base = node.value
-                while isinstance(base, ast.Attribute):
-                    atoms.append(
-                        Atom("attr", base.attr, base.lineno, _attr_text(base))
-                    )
-                    base = base.value
-                if not isinstance(base, ast.Name):
-                    stack.append(base)
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        if not atoms and not calls:
-            return EMPTY_VALUE
-        atoms.sort(key=lambda a: (a.line, a.ident))
-        calls.sort(key=lambda c: (c.line, c.method))
-        return ValueExpr(atoms=tuple(atoms), calls=tuple(calls))
-
-    def call_use(self, node: ast.Call) -> CallUse:
-        func = node.func
-        recv = (
-            self.value_expr(func.value)
-            if isinstance(func, ast.Attribute)
-            else EMPTY_VALUE
-        )
-        arg_exprs: list[ast.expr] = []
-        for arg in node.args:
-            arg_exprs.append(arg.value if isinstance(arg, ast.Starred) else arg)
-        for keyword in node.keywords:
-            arg_exprs.append(keyword.value)
-        return CallUse(
-            target=self.classify(func),
-            method=_method_name(func),
-            receiver=_receiver_text(func),
-            line=node.lineno,
-            recv=recv,
-            args=self.value_expr(*arg_exprs),
-        )
-
-    # -- statements ------------------------------------------------------
-
-    @staticmethod
-    def _name_targets(target: ast.expr) -> list[str]:
-        out: list[str] = []
-        for sub in ast.walk(target):
-            if isinstance(sub, ast.Name) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                out.append(sub.id)
-            elif isinstance(sub, ast.Subscript) and isinstance(
-                sub.value, ast.Name
-            ):
-                # d["k"] = secret taints d itself.
-                out.append(sub.value.id)
-        return out
-
-    def _visit_assign(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            if node.value is None:
-                return
-            targets, value = [node.target], node.value
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            targets, value = [node.target], node.iter
-        else:
-            return
-        names: list[str] = []
-        for target in targets:
-            names.extend(self._name_targets(target))
-        if not names:
-            return
-        expr = self.value_expr(value)
-        if isinstance(node, ast.AugAssign):
-            # x += secret keeps x's own taint too; the read is implicit.
-            expr = ValueExpr(
-                atoms=tuple(
-                    sorted(
-                        (*expr.atoms, Atom("name", names[0], node.lineno)),
-                        key=lambda a: (a.line, a.ident),
-                    )
-                ),
-                calls=expr.calls,
-            )
-        if expr.is_empty():
-            return
-        self.assigns.append(AssignRecord(tuple(names), expr, node.lineno))
-
-    def _visit_return(self, node: ast.Return) -> None:
-        if node.value is None:
-            return
-        expr = self.value_expr(node.value)
-        if not expr.is_empty():
-            self.returns.append(ReturnRecord(expr, node.lineno))
-
-    def _visit_call_stmt(self, node: ast.Call) -> None:
-        use = self.call_use(node)
-        if use.recv.is_empty() and use.args.is_empty():
-            return  # literal-only call: cannot carry taint into a sink
-        self.calls.append(use)
-        # out.append(secret) taints out — container mutators are the
-        # only way list-building loops feed the return dataflow.
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.attr in _MUTATOR_METHODS
-            and not use.args.is_empty()
-        ):
-            self.assigns.append(
-                AssignRecord((func.value.id,), use.args, node.lineno)
-            )
-
-    def _visit_raise(self, node: ast.Raise) -> None:
-        if node.exc is None:
-            return
-        exc = node.exc
-        expr = (
-            self.value_expr(*exc.args, *[k.value for k in exc.keywords])
-            if isinstance(exc, ast.Call)
-            else self.value_expr(exc)
-        )
-        if not expr.is_empty():
-            self.messages.append(MessageRecord("raise", expr, node.lineno))
-
-    def _visit_assert(self, node: ast.Assert) -> None:
-        if node.msg is None:
-            return
-        expr = self.value_expr(node.msg)
-        if not expr.is_empty():
-            self.messages.append(MessageRecord("assert", expr, node.lineno))
-
-    def _visit_compare(self, node: ast.Compare) -> None:
-        ops = [op for op in node.ops if isinstance(op, (ast.Eq, ast.NotEq))]
-        if not ops:
-            return
-        expr = self.value_expr(node.left, *node.comparators)
-        if expr.is_empty():
-            return
-        try:
-            text = ast.unparse(node)
-        except Exception:  # pragma: no cover
-            text = ""
-        op = "==" if isinstance(ops[0], ast.Eq) else "!="
-        self.compares.append(CompareRecord(op, expr, node.lineno, text[:120]))
-
-    # -- the walk --------------------------------------------------------
-
-    def run(
-        self, func_node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> TaintInfo:
-        for node in ast.walk(func_node):
-            if isinstance(
-                node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)
-            ):
-                self._visit_assign(node)
-            elif isinstance(node, ast.Return):
-                self._visit_return(node)
-            elif isinstance(node, ast.Call):
-                self._visit_call_stmt(node)
-            elif isinstance(node, ast.Raise):
-                self._visit_raise(node)
-            elif isinstance(node, ast.Assert):
-                self._visit_assert(node)
-            elif isinstance(node, ast.Compare):
-                self._visit_compare(node)
-        args = func_node.args
-        params = [
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-            if a.arg not in ("self", "cls")
-        ]
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                params.append(extra.arg)
-        info = TaintInfo(
-            params=tuple(params),
-            assigns=tuple(sorted(self.assigns, key=lambda r: r.line)[:_MAX_ITEMS]),
-            returns=tuple(sorted(self.returns, key=lambda r: r.line)[:_MAX_ITEMS]),
-            calls=tuple(
-                sorted(self.calls, key=lambda c: (c.line, c.method))[:_MAX_ITEMS]
-            ),
-            messages=tuple(
-                sorted(self.messages, key=lambda m: m.line)[:_MAX_ITEMS]
-            ),
-            compares=tuple(
-                sorted(self.compares, key=lambda c: c.line)[:_MAX_ITEMS]
-            ),
-        )
-        # Functions that move no data worth tracking collapse to the
-        # shared empty instance so FunctionSummary.to_dict omits them.
-        if not (
-            info.assigns
-            or info.returns
-            or info.calls
-            or info.messages
-            or info.compares
-        ):
-            return _EMPTY
-        return info
-
-
-def collect_taint_info(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef,
-    *,
-    classify: Callable[[ast.expr], object | None],
-    cls_name: str | None,
-) -> TaintInfo:
-    """Collect the secret-flow summary of one function body."""
-    return _Collector(classify, cls_name).run(func_node)
-
-
-# ----------------------------------------------------------------------
-# Dataclass fields (R021 material, recorded on ClassSummary)
-# ----------------------------------------------------------------------
-
-
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    expr = node.func if isinstance(node, ast.Call) else node
-    if isinstance(expr, ast.Attribute):
-        return expr.attr == "dataclass"
-    return isinstance(expr, ast.Name) and expr.id == "dataclass"
-
-
-def _field_hides_repr(value: ast.expr | None) -> bool:
-    """True for ``field(..., repr=False)`` (any ``*field`` callable)."""
-    if not isinstance(value, ast.Call):
-        return False
-    if _method_name(value.func) != "field":
-        return False
-    for keyword in value.keywords:
-        if keyword.arg == "repr" and isinstance(keyword.value, ast.Constant):
-            return keyword.value.value is False
-    return False
-
-
-def collect_dataclass_fields(
-    node: ast.ClassDef,
-) -> tuple[DataclassField, ...]:
-    """Annotated fields of a ``@dataclass`` class body (empty for
-    ordinary classes)."""
-    if not any(_is_dataclass_decorator(d) for d in node.decorator_list):
-        return ()
-    fields: list[DataclassField] = []
-    for sub in node.body:
-        if not isinstance(sub, ast.AnnAssign) or not isinstance(
-            sub.target, ast.Name
-        ):
-            continue
-        fields.append(
-            DataclassField(
-                name=sub.target.id,
-                line=sub.lineno,
-                repr_hidden=_field_hides_repr(sub.value),
-            )
-        )
-    return tuple(fields)

@@ -277,6 +277,27 @@ class TestR011CrossModulePickleSafety:
         assert "open file" in finding.message
         assert any("res.py:" in hop for hop in finding.evidence)
 
+    def test_map_batches_payload_is_checked(self, tmp_path):
+        files = {
+            "res.py": R011_FILES["res.py"],
+            "driver.py": """
+                from res import Resource
+
+                def task(r):
+                    return r.read()
+
+                def run_all(engine, path):
+                    item = Resource(path)
+                    return engine.map_batches(task, [item], stage="read")
+                """,
+        }
+        assert_per_file_clean(files)
+        write_tree(tmp_path, files)
+        result = graph_lint(tmp_path)
+        findings = [f for f in result.findings if f.rule == "R011"]
+        assert [(f.path, f.line) for f in findings] == [("driver.py", 9)]
+        assert "open file" in findings[0].message
+
     def test_enabled_instrumentation_handle_is_found(self, tmp_path):
         files = {
             "obs_payload.py": """

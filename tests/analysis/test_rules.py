@@ -182,6 +182,27 @@ class TestR003UnpicklablePayload:
             """
         )
 
+    def test_map_batches_lambda_flagged(self):
+        findings = findings_for(
+            """
+            def run(engine, clips):
+                return engine.map_batches(lambda c: c, clips)
+            """
+        )
+        assert [f.rule for f in findings] == ["R003"]
+        assert "ExecutionEngine.map_batches" in findings[0].message
+
+    def test_map_batches_keyword_task_function_flagged(self):
+        findings = findings_for(
+            """
+            def run(engine, tasks):
+                def work(task):
+                    return task
+                return engine.map_batches(fn=work, tasks=tasks)
+            """
+        )
+        assert [f.rule for f in findings] == ["R003"]
+
     def test_non_engine_map_ignored(self):
         assert not findings_for(
             """
