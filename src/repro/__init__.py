@@ -50,7 +50,7 @@ from .api import (
     simulate_genuine_session,
     verify_clips,
 )
-from .core import LocalOutlierFactor, SessionVerdict
+from .core import LocalOutlierFactor
 
 __version__ = "1.0.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "LivenessDetector",
     "LocalOutlierFactor",
     "PerfReport",
-    "SessionVerdict",
     "StreamingVerifier",
     "Verdict",
     "VerificationReport",

@@ -16,9 +16,11 @@ import lives here, re-exported from the subsystem that owns it:
   paper's exact :data:`PAPER_CONFIG`;
 * the execution engine — :class:`ExecutionEngine`, :class:`FeatureCache`
   and the printable :class:`PerfReport`;
-* session simulation — the ``simulate_*`` entry points the examples use;
-* fault injection — :class:`FaultSpec`/:class:`FaultSchedule`, the
-  faulted session builder and the :func:`run_fault_matrix` robustness
+* session simulation — :class:`SessionSpec` run by
+  :func:`simulate_session` (plain, faulted or protocol-gated calls) and
+  the one-line ``simulate_*`` wrappers the examples use;
+* fault injection — :class:`FaultSpec`/:class:`FaultSchedule` and the
+  :func:`run_fault_matrix` robustness
   sweep, plus the streaming quality-gate vocabulary
   (:class:`GatedAttempt`, :class:`ClipQuality`, :class:`AttemptVerdict`);
 * observability — :class:`Instrumentation` (the handle every
@@ -65,20 +67,20 @@ from .experiments.faultmatrix import (
     FaultCell,
     FaultMatrixResult,
     run_fault_matrix,
-    simulate_faulted_session,
 )
 from .experiments.protocolmatrix import (
     PROTOCOL_ROLES,
     ProtocolCell,
     ProtocolMatrixResult,
     run_protocol_matrix,
-    simulate_protocol_session,
 )
 from .experiments.simulate import (
+    SessionSpec,
     simulate_adaptive_attack_session,
     simulate_attack_session,
     simulate_genuine_session,
     simulate_replay_attack_session,
+    simulate_session,
 )
 from .faults import FaultSchedule, FaultSpec
 from .obs import (
@@ -152,6 +154,7 @@ __all__ = [
     "SLOReport",
     "ServerConfig",
     "SessionOutcome",
+    "SessionSpec",
     "StreamingState",
     "StreamingVerifier",
     "TRACE_SCHEMA",
@@ -176,9 +179,8 @@ __all__ = [
     "run_workload",
     "simulate_adaptive_attack_session",
     "simulate_attack_session",
-    "simulate_faulted_session",
     "simulate_genuine_session",
-    "simulate_protocol_session",
     "simulate_replay_attack_session",
+    "simulate_session",
     "verify_clips",
 ]

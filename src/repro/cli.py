@@ -30,10 +30,9 @@ from .api import (
     PAPER_CONFIG,
     ChatVerifier,
     ExecutionEngine,
-    simulate_adaptive_attack_session,
-    simulate_attack_session,
+    SessionSpec,
     simulate_genuine_session,
-    simulate_replay_attack_session,
+    simulate_session,
 )
 
 __all__ = ["main", "build_parser"]
@@ -50,37 +49,6 @@ def _enrolled_verifier(enroll_sessions: int, seed: int) -> ChatVerifier:
     return verifier
 
 
-def _simulate(
-    role: str,
-    seed: int,
-    duration_s: float,
-    delay_s: float,
-    env=None,
-    instrumentation=None,
-):
-    if role == "genuine":
-        return simulate_genuine_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "attack":
-        return simulate_attack_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "replay":
-        return simulate_replay_attack_session(
-            duration_s=duration_s, seed=seed, env=env, instrumentation=instrumentation
-        )
-    if role == "adaptive":
-        return simulate_adaptive_attack_session(
-            processing_delay_s=delay_s,
-            duration_s=duration_s,
-            seed=seed,
-            env=env,
-            instrumentation=instrumentation,
-        )
-    raise ValueError(f"unknown role {role!r}")
-
-
 def _simulate_session_task(payload: tuple) -> dict:
     """One instrumented session: simulate, verify, ship metrics home.
 
@@ -91,21 +59,19 @@ def _simulate_session_task(payload: tuple) -> dict:
     buffered span records for the parent to merge in submission order
     (what keeps ``--jobs N`` output bit-identical to ``--jobs 1``).
     """
-    bank, config, env, role, delay_s, duration_s, seed = payload
+    bank, config, env, spec = payload
     from .core.pipeline import ChatVerifier
     from .obs import Instrumentation
 
     instr = Instrumentation.enabled()
-    with instr.span("session", stage="simulate", role=role, seed=seed):
-        record = _simulate(
-            role, seed, duration_s, delay_s, env=env, instrumentation=instr
-        )
+    with instr.span("session", stage="simulate", role=spec.kind, seed=spec.seed):
+        record = simulate_session(spec, env, instrumentation=instr)
         verifier = ChatVerifier(config, instrumentation=instr)
         verifier.detector.fit(bank)
         report = verifier.verify_session(record)
     return {
-        "role": role,
-        "seed": seed,
+        "role": spec.kind,
+        "seed": spec.seed,
         "verdict": "ATTACKER" if report.is_attacker else "live",
         "clips": len(report.attempts),
         "snapshot": instr.snapshot(),
@@ -118,7 +84,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print("enrolling verifier on genuine sessions ...")
     verifier = _enrolled_verifier(args.enroll, seed=args.seed)
     for role in ("genuine", "attack"):
-        record = _simulate(role, args.seed + 100, 15.0, 1.0)
+        record = simulate_session(SessionSpec(role, args.seed + 100))
         verdict = verifier.verify_session(record)
         attempt = verdict.attempts[0]
         z = attempt.features
@@ -137,7 +103,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shell can branch on the verdict).
     """
     verifier = _enrolled_verifier(args.enroll, seed=args.seed)
-    record = _simulate(args.role, args.seed + 1000, args.duration, args.delay)
+    record = simulate_session(
+        SessionSpec(args.role, args.seed + 1000, args.duration, args.delay)
+    )
     verdict = verifier.verify_session(record)
     for i, attempt in enumerate(verdict.attempts):
         z = attempt.features
@@ -206,14 +174,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     bank,
                     config,
                     env,
-                    args.role,
-                    args.delay,
-                    args.duration,
-                    int(task_rng(args.seed, 500, i).integers(0, 2**31 - 1)),
+                    SessionSpec(
+                        args.role,
+                        int(task_rng(args.seed, 500, i).integers(0, 2**31 - 1)),
+                        args.duration,
+                        args.delay,
+                    ),
                 )
                 for i in range(args.sessions)
             ]
-            rows = engine.map(_simulate_session_task, payloads, stage="sessions")
+            rows = engine.map_batches(
+                _simulate_session_task, payloads, stage="sessions"
+            )
         # Merge worker results in submission order: metric merge is
         # associative, so this is the jobs-invariant reduction.
         for row in rows:

@@ -15,7 +15,7 @@ from .features import (
     features_from_signals_batch,
 )
 from .lof import LocalOutlierFactor
-from .pipeline import ChatVerifier, DiagnosedVerdict, SessionVerdict, VerificationReport
+from .pipeline import ChatVerifier, VerificationReport
 from .seeding import spawn_seeds
 from .streaming import CallStatus, StreamingState, StreamingVerifier
 from .voting import Verdict, VotingCombiner
@@ -45,8 +45,6 @@ __all__ = [
     "verify_clips",
     "LocalOutlierFactor",
     "ChatVerifier",
-    "DiagnosedVerdict",
-    "SessionVerdict",
     "VerificationReport",
     "CallStatus",
     "StreamingState",

@@ -22,9 +22,9 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
     Children are statistically independent of each other and of the
     parent (SeedSequence spawning), and the mapping is a pure function
     of ``(seed, count)`` — same inputs, same children, on every
-    platform and process.  Note that the prefix is *not* stable across
-    different ``count`` values: ask for all the seeds a call site needs
-    in one request.
+    platform and process.  Child ``i`` depends only on ``(seed, i)``
+    (its spawn key is ``(i,)``), so the prefix is stable across
+    ``count``: ``spawn_seeds(s, 4)[:3] == spawn_seeds(s, 3)``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -33,13 +33,7 @@ from ..core.features import FeatureVector, extract_features_batch
 from ..core.luminance import received_luminance_signal, transmitted_luminance_signal
 from ..vision.landmarks import LandmarkDetector
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile, make_population
-from .simulate import (
-    build_genuine_prover,
-    run_session,
-    simulate_adaptive_attack_session,
-    simulate_attack_session,
-    simulate_genuine_session,
-)
+from .simulate import SessionSpec, simulate_session
 
 __all__ = ["ClipInstance", "FeatureDataset", "build_dataset", "clip_from_session"]
 
@@ -159,18 +153,15 @@ def _generate_clip(
     base_seed: int,
 ) -> ClipInstance:
     seed = _clip_seed(base_seed, user_index, role, clip_index)
-    duration = config.clip_duration_s
-    if role == GENUINE:
-        record = simulate_genuine_session(duration_s=duration, seed=seed, env=env, user=user)
-    elif role == ATTACK:
-        record = simulate_attack_session(duration_s=duration, seed=seed, env=env, victim=user)
-    elif role.startswith("adaptive:"):
-        delay = float(role.split(":", 1)[1])
-        record = simulate_adaptive_attack_session(
-            processing_delay_s=delay, duration_s=duration, seed=seed, env=env, victim=user
-        )
-    else:
-        raise ValueError(f"unknown role {role!r}")
+    # Roles are session kinds; "adaptive:<delay>" carries the forger's delay.
+    kind, _, delay = role.partition(":")
+    spec = SessionSpec(
+        kind=kind,
+        seed=seed,
+        duration_s=config.clip_duration_s,
+        processing_delay_s=float(delay) if delay else None,
+    )
+    record = simulate_session(spec, env, user)
     return clip_from_session(record, user.name, role, seed, config)
 
 

@@ -28,32 +28,20 @@ from ..core.detector import LivenessDetector
 from ..core.features import extract_features_batch
 from ..core.pipeline import ChatVerifier
 from ..core.streaming import CallStatus, StreamingVerifier
-from ..chat.session import SessionRecord, VideoChatSession
-from ..attack.reenactment import ReenactmentAttacker
-from ..attack.target import TargetRecording
+from ..chat.session import SessionRecord
 from ..engine import ExecutionEngine, task_rng
-from ..faults import FaultSpec, apply_faults_to_record, build_faulty_links
-from ..obs.instrument import Instrumentation
+from ..faults import FaultSpec
+from ..protocol.gate import ProtocolGate
 from .dataset import ATTACK, GENUINE
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile
 from .runner import _map
-from ..core.seeding import spawn_seeds
-from .simulate import (
-    SessionSpec,
-    build_genuine_prover,
-    build_links,
-    build_verifier,
-    default_user,
-    simulate_genuine_session,
-    simulate_session_batch,
-)
+from .simulate import SessionSpec, default_user, simulate_session, simulate_session_batch
 
 __all__ = [
     "DEFAULT_FAULT_SPEC",
     "FaultCell",
     "FaultMatrixResult",
     "run_fault_matrix",
-    "simulate_faulted_session",
 ]
 
 #: Severity-1.0 profile for the standard robustness sweep: a congested
@@ -70,63 +58,6 @@ DEFAULT_FAULT_SPEC = FaultSpec(
     mean_freeze_s=0.8,
     clock_skew=0.01,
 )
-
-
-def _build_prover(role: str, user: UserProfile, env: Environment, seed: int):
-    """The untrusted endpoint for one cell role."""
-    if role == GENUINE:
-        return build_genuine_prover(user, env, seed)
-    if role == ATTACK:
-        s_target, s_attacker = spawn_seeds(seed, 2)
-        return ReenactmentAttacker(
-            target=TargetRecording(victim=user.face, seed=s_target),
-            artifact_level=0.012,
-            frame_size=env.frame_size,
-            seed=s_attacker,
-        )
-    raise ValueError(f"unknown role {role!r} (expected {GENUINE!r} or {ATTACK!r})")
-
-
-def simulate_faulted_session(
-    role: str,
-    spec: FaultSpec,
-    duration_s: float = 30.0,
-    seed: int = 0,
-    env: Environment | None = None,
-    user: UserProfile | None = None,
-    instrumentation: Instrumentation | None = None,
-) -> SessionRecord:
-    """One chat session with a seeded fault schedule riding the path.
-
-    Mirrors :func:`~repro.experiments.simulate.run_session` but wraps
-    both channel directions with the compiled schedule and replays the
-    receiver-side vision faults (freezes, landmark dropout) over the
-    finished recording.  Severity 0 specs produce all-clear schedules,
-    so the clean session stays the special case of this function.
-    """
-    env = env or DEFAULT_ENVIRONMENT
-    user = user or default_user()
-    s_prover, s_verifier, s_links, s_faults = spawn_seeds(seed, 4)
-    prover = _build_prover(role, user, env, s_prover)
-    verifier = build_verifier(env, s_verifier)
-    uplink, downlink = build_links(env, s_links, instrumentation)
-    session = VideoChatSession(
-        verifier=verifier,
-        prover=prover,
-        uplink=uplink,
-        downlink=downlink,
-        fps=env.fps,
-        instrumentation=instrumentation,
-    )
-    # Frame timestamps are absolute (warm-up included) and arrivals run a
-    # little behind the send clock, so the schedule covers the whole run
-    # plus a de-jitter margin; `tick_of` clamps anything later.
-    schedule = spec.schedule(session.warmup_s + duration_s + 5.0, env.fps, seed=s_faults)
-    session.uplink, session.downlink = build_faulty_links(
-        uplink, downlink, schedule, instrumentation
-    )
-    record = session.run(duration_s)
-    return apply_faults_to_record(record, schedule, instrumentation)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +154,29 @@ def _enrollment_bank(
     return np.stack([fv.as_array() for fv in features])
 
 
+def _stream_record(
+    detector: LivenessDetector,
+    record: SessionRecord,
+    gate: ProtocolGate | None = None,
+) -> tuple[StreamingVerifier, bool]:
+    """Replay a recording through a fresh gated streaming verifier.
+
+    With a ``gate`` the verifier binds it and the prover's first valid
+    handshake ack is noted; returns the verifier and whether an ack
+    verified.
+    """
+    streaming = StreamingVerifier(detector)
+    if gate is not None:
+        streaming.bind_protocol(gate)
+    acked = False
+    for t_frame, r_frame in zip(record.transmitted, record.received):
+        ack = r_frame.metadata.get("ack")
+        if gate is not None and not acked and ack is not None:
+            acked = gate.note_ack(ack)
+        streaming.push(t_frame, r_frame)
+    return streaming, acked
+
+
 def _fault_cell_task(payload: tuple) -> dict:
     """One grid cell: run its sessions through the gated streaming loop.
 
@@ -233,24 +187,21 @@ def _fault_cell_task(payload: tuple) -> dict:
     (bank, config, spec, severity, role, sessions, duration_s,
      seed, env, user, s_idx, r_idx) = payload
     detector = LivenessDetector(config).fit(bank)
-    scaled = spec.scaled(severity)
     statuses: list[str] = []
     attempts_total = attempts_inconclusive = attempts_rejected = 0
     hit_fractions: list[float] = []
     frozen_fractions: list[float] = []
-    for k in range(sessions):
-        session_seed = int(task_rng(seed, s_idx, r_idx, k).integers(0, 2**31 - 1))
-        record = simulate_faulted_session(
-            role=role,
-            spec=scaled,
+    specs = [
+        SessionSpec(
+            kind=role,
+            seed=int(task_rng(seed, s_idx, r_idx, k).integers(0, 2**31 - 1)),
             duration_s=duration_s,
-            seed=session_seed,
-            env=env,
-            user=user,
+            faults=spec.scaled(severity),
         )
-        streaming = StreamingVerifier(detector)
-        for t_frame, r_frame in zip(record.transmitted, record.received):
-            streaming.push(t_frame, r_frame)
+        for k in range(sessions)
+    ]
+    for session in specs:
+        streaming, _ = _stream_record(detector, simulate_session(session, env, user))
         statuses.append(streaming.state.status.value)
         for attempt in streaming.gated_attempts:
             attempts_total += 1

@@ -27,144 +27,36 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..attack.reenactment import ReenactmentAttacker
-from ..attack.replayschedule import ReplayScheduleAttacker, StaleRelayAttacker
-from ..attack.target import TargetRecording
-from ..chat.endpoints import DerivedMeteringBehavior
-from ..chat.session import SessionRecord, VideoChatSession
 from ..core.config import DetectorConfig
 from ..core.detector import LivenessDetector
-from ..core.seeding import spawn_seeds
-from ..core.streaming import StreamingVerifier
 from ..engine import ExecutionEngine, task_rng
-from ..obs.instrument import Instrumentation
 from ..protocol import ProtocolConfig, ProtocolProvisioner
-from ..protocol.gate import ProtocolGate
-from ..protocol.nonce import ack_tag, handshake_payload
-from .faultmatrix import _enrollment_bank
+from .faultmatrix import _enrollment_bank, _stream_record
 from .profiles import DEFAULT_ENVIRONMENT, Environment, UserProfile
 from .runner import _map
-from .simulate import (
-    build_genuine_prover,
-    build_links,
-    build_verifier,
-    default_user,
-)
+from .simulate import SessionSpec, default_user, simulate_session
 
 __all__ = [
     "PROTOCOL_ROLES",
     "ProtocolCell",
     "ProtocolMatrixResult",
     "run_protocol_matrix",
-    "simulate_protocol_session",
 ]
 
-PROTOCOL_ROLES = ("genuine", "replay", "stale", "attack")
+#: Cell role -> session kind.  ``replay`` plays back footage answering
+#: the *prior* session's schedule; ``stale`` answers the live schedule
+#: too late.
+_ROLE_KINDS = {
+    "genuine": "genuine",
+    "replay": "schedule_replay",
+    "stale": "stale_relay",
+    "attack": "attack",
+}
+PROTOCOL_ROLES = tuple(_ROLE_KINDS)
 
 #: Deployment secret of the simulated verifier service.  Any fixed
 #: string works — both call ends and the grader derive from it.
 _EXPERIMENT_SECRET = "repro-protocol-matrix"
-
-
-def _build_protocol_prover(
-    role: str,
-    gate: ProtocolGate,
-    prior: ProtocolGate | None,
-    clips: int,
-    warmup_s: float,
-    user: UserProfile,
-    env: Environment,
-    seed: int,
-):
-    """The untrusted endpoint for one cell role.
-
-    ``replay`` needs the *prior* session's gate (the schedules the
-    recorded footage answered); everyone else plays against the live
-    session only.
-    """
-    if role == "genuine":
-        prover = build_genuine_prover(user, env, seed)
-        key, nonce = gate.tenant_key, gate.nonce
-        prover.on_handshake = lambda payload: ack_tag(
-            key, bytes.fromhex(payload["nonce"])
-        ).hex()
-        return prover
-    s_target, s_attacker = spawn_seeds(seed, 2)
-    target = TargetRecording(victim=user.face, seed=s_target)
-    if role == "replay":
-        observed = prior if prior is not None else gate
-        return ReplayScheduleAttacker(
-            target=target,
-            observed_schedules=observed.schedules(clips),
-            start_offset_s=warmup_s,
-            frame_size=env.frame_size,
-            seed=s_attacker,
-        )
-    if role == "stale":
-        return StaleRelayAttacker(
-            target=target,
-            frame_size=env.frame_size,
-            seed=s_attacker,
-            mimic_screen=env.screen,
-            mimic_distance_m=env.viewing_distance_m,
-            ambient_lux=env.prover_ambient_lux,
-        )
-    if role == "attack":
-        return ReenactmentAttacker(
-            target=target,
-            artifact_level=0.012,
-            frame_size=env.frame_size,
-            seed=s_attacker,
-        )
-    raise ValueError(f"unknown role {role!r} (expected one of {PROTOCOL_ROLES})")
-
-
-def simulate_protocol_session(
-    role: str,
-    gate: ProtocolGate,
-    clips: int = 2,
-    seed: int = 0,
-    prior: ProtocolGate | None = None,
-    env: Environment | None = None,
-    user: UserProfile | None = None,
-    instrumentation: Instrumentation | None = None,
-) -> SessionRecord:
-    """One chat session whose verifier drives the *derived* schedule.
-
-    The verifier's metering replays ``gate``'s nonce-derived challenge
-    times (:class:`~repro.chat.endpoints.DerivedMeteringBehavior`) and
-    its frames carry the handshake payload; the prover is built per
-    ``role``.  The recording is what a
-    :class:`~repro.core.streaming.StreamingVerifier` with the same gate
-    bound would observe.
-    """
-    env = env or DEFAULT_ENVIRONMENT
-    user = user or default_user()
-    s_prover, s_verifier, s_links = spawn_seeds(seed, 3)
-    verifier = build_verifier(env, s_verifier)
-    warmup_s = 2.0  # VideoChatSession default; schedule times shift by it
-    background = verifier.renderer.background
-    verifier.metering = DerivedMeteringBehavior(
-        bright_spot=background.bright_spot,
-        dark_spot=background.dark_spot,
-        schedules=gate.schedules(clips),
-        start_offset_s=warmup_s,
-    )
-    verifier.handshake = handshake_payload(gate.session_id, gate.nonce)
-    prover = _build_protocol_prover(
-        role, gate, prior, clips, warmup_s, user, env, s_prover
-    )
-    uplink, downlink = build_links(env, s_links, instrumentation)
-    session = VideoChatSession(
-        verifier=verifier,
-        prover=prover,
-        uplink=uplink,
-        downlink=downlink,
-        fps=env.fps,
-        warmup_s=warmup_s,
-        instrumentation=instrumentation,
-    )
-    return session.run(clips * gate.config.clip_duration_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,32 +129,27 @@ def _protocol_cell_task(payload: tuple) -> dict:
     statuses: list[str] = []
     bindings: dict[str, int] = {}
     acks_ok = 0
+    tenant = f"cell-{r_idx}"
+    specs = []
     for k in range(sessions):
         # p_idx is deliberately absent from the seed chain: the off and
         # on columns replay the *same* sessions, so any verdict
         # difference between them is the binding layer's doing.
-        session_seed = int(task_rng(seed, r_idx, 7, k).integers(0, 2**31 - 1))
-        tenant = f"cell-{r_idx}"
         prior = provisioner.provision(tenant, f"prior-{k:03d}")
-        gate = provisioner.provision(tenant, f"live-{k:03d}")
-        record = simulate_protocol_session(
-            role=role,
-            gate=gate,
-            clips=clips,
-            seed=session_seed,
-            prior=prior,
-            env=env,
-            user=user,
+        specs.append(
+            SessionSpec(
+                kind=_ROLE_KINDS[role],
+                seed=int(task_rng(seed, r_idx, 7, k).integers(0, 2**31 - 1)),
+                duration_s=clips * config.clip_duration_s,
+                gate=provisioner.provision(tenant, f"live-{k:03d}"),
+                prior_gate=prior,
+            )
         )
-        streaming = StreamingVerifier(detector)
-        if use_protocol:
-            streaming.bind_protocol(gate)
-        acked = False
-        for t_frame, r_frame in zip(record.transmitted, record.received):
-            ack = r_frame.metadata.get("ack")
-            if use_protocol and not acked and ack is not None:
-                acked = gate.note_ack(ack)
-            streaming.push(t_frame, r_frame)
+    for session in specs:
+        gate = session.gate if use_protocol else None
+        streaming, acked = _stream_record(
+            detector, simulate_session(session, env, user), gate
+        )
         statuses.append(streaming.state.status.value)
         acks_ok += int(acked)
         for attempt in streaming.gated_attempts:

@@ -56,7 +56,7 @@ def add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verifier-frame", type=int, default=48, help="verifier frame edge (pixels)"
     )
-    parser.add_argument("--jobs", type=int, default=0, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
 def _provision_pair(tenant: str) -> tuple[ProtocolGate, ProtocolGate, int]:

@@ -29,6 +29,15 @@ class TestSpawnSeeds:
         with pytest.raises(ValueError):
             spawn_seeds(7, -1)
 
+    def test_prefix_is_stable_across_counts(self):
+        # Child i always gets spawn key (i,), so asking for more seeds
+        # only appends; the session builder's flat (prover, verifier,
+        # links, faults) layout relies on this.
+        for seed in (0, 7, 123, 2**31):
+            for count in (1, 2, 3, 5):
+                longer = spawn_seeds(seed, count + 3)
+                assert longer[:count] == spawn_seeds(seed, count)
+
     def test_bit_identical_to_legacy_inline_formula(self):
         # simulate.py used this exact expression before the hoist; the
         # helper must keep emitting the same streams or every recorded

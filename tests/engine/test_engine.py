@@ -74,16 +74,16 @@ class TestTaskRng:
 class TestMap:
     def test_serial_map_preserves_order(self):
         with ExecutionEngine(jobs=1) as engine:
-            assert engine.map(_square, range(10)) == [i * i for i in range(10)]
+            assert engine.map_batches(_square, range(10)) == [i * i for i in range(10)]
 
     def test_parallel_map_matches_serial(self):
         tasks = list(range(40))
         with ExecutionEngine(jobs=1) as serial, ExecutionEngine(jobs=3) as parallel:
-            assert parallel.map(_square, tasks) == serial.map(_square, tasks)
+            assert parallel.map_batches(_square, tasks) == serial.map_batches(_square, tasks)
 
     def test_map_records_stage(self):
         with ExecutionEngine(jobs=1) as engine:
-            engine.map(_square, range(5), stage="squares")
+            engine.map_batches(_square, range(5), stage="squares")
             report = engine.perf_report()
         assert [s.name for s in report.stages] == ["squares"]
         assert report.stages[0].tasks == 5

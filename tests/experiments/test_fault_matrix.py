@@ -8,12 +8,9 @@ from repro.core.config import DetectorConfig
 from repro.core.detector import LivenessDetector
 from repro.core.features import FeatureVector
 from repro.engine import ExecutionEngine
-from repro.experiments.faultmatrix import (
-    DEFAULT_FAULT_SPEC,
-    run_fault_matrix,
-    simulate_faulted_session,
-)
+from repro.experiments.faultmatrix import DEFAULT_FAULT_SPEC, run_fault_matrix
 from repro.experiments.profiles import Environment
+from repro.experiments.simulate import SessionSpec, simulate_session
 from repro.faults import FaultSpec
 
 SEVERITIES = (0.0, 1.0)
@@ -113,8 +110,8 @@ class TestFaultedSession:
         spec = DEFAULT_FAULT_SPEC.scaled(0.5)
         statuses = []
         for _ in range(2):
-            record = simulate_faulted_session(
-                "genuine", spec, duration_s=15.0, seed=31, env=env
+            record = simulate_session(
+                SessionSpec("genuine", seed=31, duration_s=15.0, faults=spec), env
             )
             verifier = StreamingVerifier(detector)
             for t_frame, r_frame in zip(record.transmitted, record.received):
@@ -124,8 +121,8 @@ class TestFaultedSession:
 
     def test_total_landmark_dropout_yields_inconclusive(self, env):
         spec = FaultSpec(landmark_dropout_rate=1.0)
-        record = simulate_faulted_session(
-            "genuine", spec, duration_s=15.0, seed=7, env=env
+        record = simulate_session(
+            SessionSpec("genuine", seed=7, duration_s=15.0, faults=spec), env
         )
         rng = np.random.default_rng(2)
         bank = [
@@ -141,4 +138,6 @@ class TestFaultedSession:
 
     def test_unknown_role_rejected(self, env):
         with pytest.raises(ValueError):
-            simulate_faulted_session("alien", FaultSpec(), duration_s=5.0, env=env)
+            simulate_session(
+                SessionSpec("alien", seed=0, duration_s=5.0, faults=FaultSpec()), env
+            )

@@ -24,9 +24,3 @@ class TestFacade:
         assert api.ChatVerifier is ChatVerifier
         assert api.VerificationReport is VerificationReport
         assert api.ExecutionEngine is ExecutionEngine
-
-    def test_deprecated_aliases_still_point_at_the_report(self):
-        from repro.core.pipeline import DiagnosedVerdict, SessionVerdict
-
-        assert SessionVerdict is api.VerificationReport
-        assert DiagnosedVerdict is api.VerificationReport

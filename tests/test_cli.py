@@ -145,6 +145,14 @@ class TestEndToEnd:
         for outcome in ("bound", "replay", "stale", "unbound"):
             assert f"outcome={outcome}" in out
 
+    def test_protocol_matrix_runs_on_its_default_jobs(self, capsys):
+        # No --jobs: the default must be a worker count the engine accepts.
+        assert main(["protocol", "--matrix", "--sessions", "1", "--enroll", "4",
+                     "--frame", "64", "--verifier-frame", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "replay  [replay=2]" in out
+        assert "stale  [stale=2]" in out
+
     def test_loadtest_writes_identity_checked_json(self, tmp_path, capsys):
         import json
 
