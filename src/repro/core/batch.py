@@ -11,8 +11,9 @@ the batched kernels that process N clips per NumPy call:
 * ``reflect_convolve_batch`` / ``moving_variance_batch`` /
   ``threshold_filter_batch`` / ``moving_rms_batch`` — the filter stages
   of Sec. V over a dense group of equal-length rows.
-* :func:`dtw_distance_batch` — feature ``z4``'s dynamic program,
-  vectorized across the batch dimension.
+* :func:`dtw_distance_batch` — feature ``z4``'s dynamic program, run
+  as an anti-diagonal wavefront so each Python step covers a whole
+  diagonal of every pair in a shape group.
 * :func:`find_peaks_batch` — the peak finder mapped over rows.
 
 Every kernel is **row-independent**: the result of row ``i`` never
@@ -223,10 +224,13 @@ def dtw_distance_batch(
     """Exact DTW distances for many ``(x, y)`` pairs in one pass.
 
     Pairs are grouped by ``(len(x), len(y))`` and each group runs one
-    dynamic program whose cells are ``(group,)`` vectors — the i/j loops
-    stay in Python but every arithmetic step covers the whole group.
-    ``abs``/``min``/``add`` are exact in IEEE-754, so each pair's
-    distance is bit-identical to :func:`~repro.core.dtw.dtw_distance`.
+    anti-diagonal (wavefront) dynamic program: every cell ``(i, j)`` with
+    ``i + j = d`` depends only on diagonals ``d - 1`` and ``d - 2``, so
+    diagonal ``d`` is one vector step over ``(group, cells on d)``.  An
+    ``n x m`` group takes ``n + m - 1`` Python steps instead of ``n * m``.
+    ``abs``/``min``/``add`` are exact in IEEE-754 and each cell takes the
+    minimum in the scalar oracle's order, so each pair's distance is
+    bit-identical to :func:`~repro.core.dtw.dtw_distance`.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same number of sequences")
@@ -241,19 +245,42 @@ def dtw_distance_batch(
         groups.setdefault((a.size, b.size), []).append(i)
     for (n, m), indices in sorted(groups.items()):
         A = np.stack([a_list[i] for i in indices])
-        B = np.stack([b_list[i] for i in indices])
-        count = len(indices)
-        prev = np.full((count, m + 1), np.inf)
-        prev[:, 0] = 0.0
-        current = np.empty((count, m + 1))
-        for i in range(1, n + 1):
-            current[:, 0] = np.inf
-            row_cost = np.abs(A[:, i - 1][:, None] - B)
-            for j in range(1, m + 1):
-                best = np.minimum(
-                    np.minimum(prev[:, j - 1], prev[:, j]), current[:, j - 1]
-                )
-                current[:, j] = row_cost[:, j - 1] + best
-            prev, current = current, prev
-        out[np.array(indices)] = prev[:, m]
+        B_rev = np.stack([b_list[i][::-1] for i in indices])
+        out[np.array(indices)] = _dtw_wavefront(A, B_rev)
     return out
+
+
+def _dtw_wavefront(A: np.ndarray, B_rev: np.ndarray) -> np.ndarray:
+    """DTW of each row of ``A`` (``(g, n)``) against ``B_rev``'s reversed rows.
+
+    The buffer of diagonal ``d`` holds, at column ``i`` (``0..n``), cell
+    ``(i, d - i)`` of the DP matrix, whose row 0 and column 0 are the
+    ``inf`` boundary except ``(0, 0) = 0``.  The cells of diagonal ``d``
+    are ``i`` in ``[max(1, d - m), min(n, d - 1)]``, and ``y[d - i - 1]``
+    over that range is a contiguous slice of the reversed ``y``.  Three
+    buffers rotate; a reused buffer's stale columns are never read,
+    except ``(0, 0)``, which is cleared once diagonal 2 has used it.
+    """
+    count, n = A.shape
+    m = B_rev.shape[1]
+    older = np.full((count, n + 1), np.inf)  # diagonal d - 2
+    older[:, 0] = 0.0
+    old = np.full((count, n + 1), np.inf)  # diagonal d - 1
+    new = np.full((count, n + 1), np.inf)  # diagonal d
+    cost_buf = np.empty((count, min(n, m)))
+    best_buf = np.empty((count, min(n, m)))
+    for d in range(2, n + m + 1):
+        lo = max(1, d - m)
+        hi = min(n, d - 1)
+        cost = cost_buf[:, : hi - lo + 1]
+        best = best_buf[:, : hi - lo + 1]
+        np.subtract(A[:, lo - 1 : hi], B_rev[:, m - d + lo : m - d + hi + 1], out=cost)
+        np.abs(cost, out=cost)
+        # (i-1, j-1), then (i-1, j), then (i, j-1): the scalar oracle's order.
+        np.minimum(older[:, lo - 1 : hi], old[:, lo - 1 : hi], out=best)
+        np.minimum(best, old[:, lo : hi + 1], out=best)
+        np.add(cost, best, out=new[:, lo : hi + 1])
+        if d == 2:
+            older[:, 0] = np.inf
+        older, old, new = old, new, older
+    return old[:, n]

@@ -9,6 +9,7 @@ from repro.core.features import FeatureVector
 from repro.core.streaming import CallStatus, StreamingVerifier
 from repro.experiments.profiles import Environment
 from repro.experiments.simulate import simulate_attack_session, simulate_genuine_session
+from repro.video.frame import Frame
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +139,18 @@ class TestRoiConcealment:
             verifier.push(t_f, r_f)
         # One attempt completed despite the corrupted frame.
         assert len(verifier.all_attempts) == 1
+
+    def test_zero_size_received_frame_counts_as_a_miss(self, trained_detector, env):
+        record = simulate_genuine_session(duration_s=15.0, seed=56, env=env)
+        intact = StreamingVerifier(trained_detector)
+        verifier = StreamingVerifier(trained_detector)
+        for k, (t_frame, r_frame) in enumerate(zip(record.transmitted, record.received)):
+            intact.push(t_frame, r_frame)
+            if k == 50:
+                r_frame = Frame(np.zeros((0, 0, 3)), r_frame.timestamp)
+            verifier.push(t_frame, r_frame)
+        assert len(verifier.all_attempts) == 1
+        samples = len(record.received)
+        lost = intact.gated_attempts[0].quality.landmark_hit_fraction
+        lost -= verifier.gated_attempts[0].quality.landmark_hit_fraction
+        assert round(lost * samples) == 1

@@ -135,6 +135,24 @@ class TestKernelsMatchPerClipLoop:
             assert peaks == find_peaks(row, prominence)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _scalar_dtw(xs, ys):
+    return np.array([dtw_distance(x, y) for x, y in zip(xs, ys)])
+
+
+dtw_pairs = st.lists(
+    st.tuples(
+        st.lists(finite, min_size=1, max_size=30).map(np.array),
+        st.lists(finite, min_size=1, max_size=30).map(np.array),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
 class TestDtwBatch:
     @given(nonempty_signals, st.data())
     @settings(max_examples=40, deadline=None)
@@ -148,8 +166,41 @@ class TestDtwBatch:
             for i in range(len(xs))
         ]
         batched = dtw_distance_batch(xs, ys)
-        for x, y, value in zip(xs, ys, batched):
-            assert value == dtw_distance(x, y)
+        assert np.array_equal(_bits(batched), _bits(_scalar_dtw(xs, ys)))
+
+    @given(dtw_pairs)
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_shapes_bitwise_and_row_independent(self, pairs):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        batched = dtw_distance_batch(xs, ys)
+        assert np.array_equal(_bits(batched), _bits(_scalar_dtw(xs, ys)))
+        singles = [dtw_distance_batch([x], [y])[0] for x, y in pairs]
+        assert np.array_equal(_bits(batched), _bits(singles))
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2), (75, 75), (120, 40), (31, 118)]
+    )
+    def test_edge_and_long_shapes_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n, m = shape
+        xs = [rng.normal(0.0, 50.0, n) for _ in range(3)]
+        ys = [rng.normal(0.0, 50.0, m) for _ in range(3)]
+        # Repeated samples exercise ties in the three-way minimum.
+        xs.append(np.round(xs[0] / 40.0))
+        ys.append(np.round(ys[0] / 40.0))
+        batched = dtw_distance_batch(xs, ys)
+        assert np.array_equal(_bits(batched), _bits(_scalar_dtw(xs, ys)))
+
+    def test_ragged_call_equals_batches_of_one(self):
+        rng = np.random.default_rng(14)
+        lengths = [(75, 75), (1, 1), (120, 118), (75, 75), (3, 60), (60, 3), (75, 74)]
+        xs = [rng.uniform(0.0, 1.0, n) for n, _ in lengths]
+        ys = [rng.uniform(0.0, 1.0, m) for _, m in lengths]
+        batched = dtw_distance_batch(xs, ys)
+        singles = [dtw_distance_batch([x], [y])[0] for x, y in zip(xs, ys)]
+        assert np.array_equal(_bits(batched), _bits(singles))
+        assert np.array_equal(_bits(batched), _bits(_scalar_dtw(xs, ys)))
 
     def test_rejects_empty_sequences(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Landmark detector: accuracy against rendered ground truth."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,27 @@ class TestDetection:
 
     def test_dark_frame_returns_none(self):
         assert LandmarkDetector().detect(np.zeros((64, 64, 3))) is None
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 12, 3), (12, 0, 3)])
+    def test_zero_size_frame_returns_none(self, shape):
+        assert LandmarkDetector().detect(np.zeros(shape)) is None
+
+    def test_non_finite_pixels_raise_no_warning(self, renderer, neutral_pose):
+        pixels, _ = _frame_pixels(renderer, neutral_pose)
+        poisoned = [pixels.copy() for _ in range(4)]
+        poisoned[0][:10] = np.inf
+        poisoned[1][:10] = -np.inf
+        poisoned[2][:10] = np.nan
+        poisoned[3][:10, :, 0] = np.inf
+        poisoned[3][:10, :, 2] = -np.inf
+        detector = LandmarkDetector(jitter_fraction=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for frame in poisoned:
+                mask = detector.skin_mask(frame)
+                assert not mask[:10].any()
+                assert detector.detect(frame) is not None
+            assert detector.detect(np.full((8, 8, 3), np.inf)) is None
 
     def test_face_out_of_frame_returns_none(self, renderer):
         pixels, _ = _frame_pixels(renderer, _pose(center_x=-0.6, center_y=-0.6))
